@@ -24,6 +24,10 @@
 #                         TEAMNET_THREADS=4 forces the parallel paths —
 #                         the pool determinism contract says both runs
 #                         must see bit-identical numerics
+#   6b. hostile frames  (tests/hostile_frames.rs again, in release: integer
+#                         overflow panics in debug but wraps silently in
+#                         release, so the decoders' checked arithmetic is
+#                         exercised in both profiles)
 #   7. kernel-bench smoke (parallel-vs-sequential bit-identity on every
 #                         kernel, plus the JSON artifact plumbing)
 #   7b. serve-bench smoke (the serving front-end's batching win: the
@@ -89,6 +93,7 @@ cargo xtask mc
 cargo xtask cost --check
 TEAMNET_THREADS=1 cargo test -q --workspace
 TEAMNET_THREADS=4 cargo test -q --workspace
+cargo test -q --release --test hostile_frames
 cargo run -q --release -p teamnet-bench --bin kernel_bench -- --smoke --out /tmp/BENCH_kernels_smoke.json
 cargo run -q --release -p teamnet-bench --bin serve_bench -- --smoke --out /tmp/BENCH_serve_smoke.json
 cargo test -q --release --test chaos_soak

@@ -11,7 +11,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
-use teamnet_net::codec::{decode_f32s, encode_f32s};
+use teamnet_net::codec::{decode_f32s, encode_f32s, read_exact_vec};
 use teamnet_nn::ModelSpec;
 use teamnet_tensor::Tensor;
 
@@ -75,9 +75,7 @@ fn read_chunk(r: &mut impl Read) -> Result<Vec<u8>, PersistError> {
             "implausible chunk length {len}"
         )));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
+    Ok(read_exact_vec(r, len)?)
 }
 
 /// Writes a trained team to `path`.

@@ -44,13 +44,14 @@ use crate::runtime::{next_round, TAG_INPUT, TAG_RESULT};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
+use teamnet_net::codec::{encode_f32s, WireReader};
 #[cfg(doc)]
 use teamnet_net::PayloadKind;
 use teamnet_net::{
     crc32, peek_trace, Backoff, Clock, Envelope, NetError, RetryPolicy, SystemClock, TraceContext,
     Transport,
 };
-use teamnet_nn::{load_state, state_from_bytes, state_to_bytes, state_vec, ModelSpec, Sequential};
+use teamnet_nn::{load_state, state_vec, ModelSpec, Sequential};
 use teamnet_obs::{Counter, Histogram, Obs};
 use teamnet_tensor::Tensor;
 
@@ -148,33 +149,27 @@ impl LoadExpertMsg {
     /// [`NetError::Malformed`] on truncation, trailing bytes, an unknown
     /// op code or an undecodable model spec.
     pub fn decode(bytes: &[u8]) -> Result<Self, NetError> {
-        let mut at = 0usize;
-        let op = *take(bytes, &mut at, 1)?.first().unwrap_or(&u8::MAX);
-        let expert = u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default());
+        let mut r = WireReader::new(bytes);
+        let op = r.u8()?;
+        let expert = r.u32()?;
         let msg = match op {
             OP_OFFER => {
-                let spec_len =
-                    u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default())
-                        as usize;
-                let spec_bytes = take(bytes, &mut at, spec_len)?;
-                let spec: ModelSpec = serde_json::from_slice(spec_bytes)
+                let json = r.section()?;
+                let spec: ModelSpec = serde_json::from_slice(json)
                     .map_err(|e| NetError::Malformed(format!("load-expert spec: {e}")))?;
-                let num_chunks =
-                    u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default());
-                let total_bytes =
-                    u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().unwrap_or_default());
-                let state_crc =
-                    u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default());
-                let required_resident_bytes =
-                    u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().unwrap_or_default());
+                // Only the canonical encoding is accepted, so the format
+                // stays closed: an offer decodes iff it re-encodes.
+                if serde_json::to_vec(&spec).ok().as_deref() != Some(json) {
+                    return Err(NetError::Malformed("non-canonical load-expert spec".into()));
+                }
                 LoadExpertMsg::Offer {
                     expert,
                     manifest: TransferManifest {
                         spec,
-                        num_chunks,
-                        total_bytes,
-                        state_crc,
-                        required_resident_bytes,
+                        num_chunks: r.u32()?,
+                        total_bytes: r.u64()?,
+                        state_crc: r.u32()?,
+                        required_resident_bytes: r.u64()?,
                     },
                 }
             }
@@ -186,7 +181,7 @@ impl LoadExpertMsg {
                 )))
             }
         };
-        expect_consumed(bytes, at)?;
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -219,13 +214,11 @@ impl LoadChunkMsg {
     ///
     /// [`NetError::Malformed`] when shorter than its 8-byte header.
     pub fn decode(bytes: &[u8]) -> Result<Self, NetError> {
-        let mut at = 0usize;
-        let expert = u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default());
-        let index = u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default());
+        let mut r = WireReader::new(bytes);
         Ok(LoadChunkMsg {
-            expert,
-            index,
-            data: bytes.get(at..).unwrap_or_default().to_vec(),
+            expert: r.u32()?,
+            index: r.u32()?,
+            data: r.rest().to_vec(),
         })
     }
 }
@@ -285,9 +278,9 @@ impl LoadAckMsg {
     ///
     /// [`NetError::Malformed`] for a wrong length or unknown status code.
     pub fn decode(bytes: &[u8]) -> Result<Self, NetError> {
-        let mut at = 0usize;
-        let expert = u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default());
-        let status = match *take(bytes, &mut at, 1)?.first().unwrap_or(&u8::MAX) {
+        let mut r = WireReader::new(bytes);
+        let expert = r.u32()?;
+        let status = match r.u8()? {
             ST_ACCEPT => AckStatus::Accept,
             ST_REFUSE => AckStatus::Refuse,
             ST_CHUNK_OK => AckStatus::ChunkOk,
@@ -299,8 +292,8 @@ impl LoadAckMsg {
                 )))
             }
         };
-        let arg = u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().unwrap_or_default());
-        expect_consumed(bytes, at)?;
+        let arg = r.u64()?;
+        r.finish()?;
         Ok(LoadAckMsg {
             expert,
             status,
@@ -309,26 +302,41 @@ impl LoadAckMsg {
     }
 }
 
-fn take<'a>(bytes: &'a [u8], at: &mut usize, len: usize) -> Result<&'a [u8], NetError> {
-    let end = at
-        .checked_add(len)
-        .ok_or_else(|| NetError::Malformed("recovery message length overflow".to_string()))?;
-    let slice = bytes
-        .get(*at..end)
-        .ok_or_else(|| NetError::Malformed(format!("recovery message truncated at byte {at}")))?;
-    *at = end;
-    Ok(slice)
+/// Serializes parameter tensors captured by [`state_vec`] for migration:
+/// `count: u32` followed by `count` tensors in the
+/// [`teamnet_net::codec::encode_f32s`] layout.
+///
+/// # Panics
+///
+/// Panics if there are more than `u32::MAX` tensors, or on a tensor
+/// [`encode_f32s`] rejects (rank above 8, a dimension beyond `u32`).
+pub fn state_to_bytes(state: &[Tensor]) -> Vec<u8> {
+    assert!(state.len() <= u32::MAX as usize, "state tensor count");
+    let mut out = (state.len() as u32).to_le_bytes().to_vec(); // lint: allow(cast-truncate)
+    for t in state {
+        out.extend_from_slice(&encode_f32s(t.dims(), t.data()));
+    }
+    out
 }
 
-fn expect_consumed(bytes: &[u8], at: usize) -> Result<(), NetError> {
-    if at == bytes.len() {
-        Ok(())
-    } else {
-        Err(NetError::Malformed(format!(
-            "{} trailing bytes in recovery message",
-            bytes.len() - at
-        )))
+/// Decodes a byte stream produced by [`state_to_bytes`].
+///
+/// # Errors
+///
+/// [`NetError::Malformed`] on truncation, trailing bytes, an implausible
+/// rank or extent, or a tensor that fails shape validation.
+pub fn state_from_bytes(bytes: &[u8]) -> Result<Vec<Tensor>, NetError> {
+    let mut r = WireReader::new(bytes);
+    let count = r.u32()?;
+    let mut state = Vec::new();
+    for i in 0..count {
+        let (dims, data) = r.f32s()?;
+        let tensor = Tensor::from_vec(data, dims)
+            .map_err(|e| NetError::Malformed(format!("state tensor {i}: {e}")))?;
+        state.push(tensor);
     }
+    r.finish()?;
+    Ok(state)
 }
 
 /// A node's memory admission state: hard capacity minus the runtime's own
@@ -435,11 +443,12 @@ pub struct PartialLoad {
 impl PartialLoad {
     /// Opens a reassembly buffer for `expert` described by `manifest`.
     pub fn begin(expert: u32, manifest: TransferManifest) -> Self {
-        let cap = usize::try_from(manifest.total_bytes).unwrap_or(0);
+        // `total_bytes` is peer-declared: the buffer grows as chunks land
+        // (bounded by it in `accept_chunk`) instead of reserving it here.
         PartialLoad {
             expert,
             manifest,
-            buf: Vec::with_capacity(cap),
+            buf: Vec::new(),
             next: 0,
         }
     }
@@ -540,7 +549,7 @@ pub(crate) fn build_from_state(
     manifest: &TransferManifest,
     buf: &[u8],
 ) -> Result<(Sequential, u64), NetError> {
-    let state = state_from_bytes(buf).map_err(|e| NetError::Malformed(e.to_string()))?;
+    let state = state_from_bytes(buf)?;
     let mut model = build_expert(&manifest.spec, 0);
     let shapes = state_vec(&mut model);
     if shapes.len() != state.len() || shapes.iter().zip(&state).any(|(a, b)| a.dims() != b.dims()) {

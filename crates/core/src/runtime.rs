@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use teamnet_net::codec::{decode_f32s, encode_f32s};
+use teamnet_net::codec::{decode_f32s, encode_f32s, WireReader};
 use teamnet_net::{
     derive_trace_id, peek_trace, Backoff, Clock, Envelope, NetError, PayloadKind, RetryPolicy,
     SystemClock, Tag, Transport, TRACE_EXT_LEN,
@@ -236,11 +236,19 @@ pub fn decode_results(bytes: &[u8]) -> Result<Vec<(usize, f32)>, NetError> {
     if dims.len() != 2 || dims.get(1) != Some(&2) {
         return Err(NetError::Malformed(format!("result matrix dims {dims:?}")));
     }
-    Ok(data
-        .chunks_exact(2)
+    data.chunks_exact(2)
         .filter_map(|p| p.first_chunk::<2>())
-        .map(|&[label, h]| (label as usize, h))
-        .collect())
+        .map(|&[label, h]| {
+            // A label is a class index: a negative, fractional or NaN one
+            // is rejected, not silently rounded into some class.
+            let class = label as usize;
+            if (class as f32).to_bits() == label.to_bits() {
+                Ok((class, h))
+            } else {
+                Err(NetError::Malformed(format!("result label {label}")))
+            }
+        })
+        .collect()
 }
 
 /// Marker opening a multi-expert result set on the wire. Unambiguous
@@ -280,42 +288,22 @@ pub fn decode_result_set(
     bytes: &[u8],
     sender: usize,
 ) -> Result<Vec<(usize, Vec<(usize, f32)>)>, NetError> {
-    let sentinel = bytes
-        .get(..4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap_or_default()));
-    if sentinel != Some(RESULT_SET_SENTINEL) {
+    let mut r = WireReader::new(bytes);
+    if r.u32().ok() != Some(RESULT_SET_SENTINEL) {
         return Ok(vec![(sender, decode_results(bytes)?)]);
     }
-    let mut at = 4usize;
-    let take_u32 = |bytes: &[u8], at: &mut usize| -> Result<u32, NetError> {
-        let slice = bytes
-            .get(*at..*at + 4)
-            .ok_or_else(|| NetError::Malformed(format!("result set truncated at byte {at}")))?;
-        *at += 4;
-        Ok(u32::from_le_bytes(slice.try_into().unwrap_or_default()))
-    };
-    let count = take_u32(bytes, &mut at)? as usize;
+    let count = r.u32()?;
     if count > 4096 {
         return Err(NetError::Malformed(format!(
             "implausible result set of {count} experts"
         )));
     }
-    let mut set = Vec::with_capacity(count);
+    let mut set = Vec::new();
     for _ in 0..count {
-        let expert = take_u32(bytes, &mut at)? as usize;
-        let len = take_u32(bytes, &mut at)? as usize;
-        let body = bytes
-            .get(at..at + len)
-            .ok_or_else(|| NetError::Malformed(format!("result set truncated at byte {at}")))?;
-        at += len;
-        set.push((expert, decode_results(body)?));
+        let expert = r.u32()? as usize;
+        set.push((expert, decode_results(r.section()?)?));
     }
-    if at != bytes.len() {
-        return Err(NetError::Malformed(format!(
-            "{} trailing bytes in result set",
-            bytes.len() - at
-        )));
-    }
+    r.finish()?;
     Ok(set)
 }
 
@@ -523,6 +511,14 @@ impl fsm::WorkerHooks for ServeHooks<'_> {
             Tensor::from_vec(data, dims)
                 .map_err(|e| NetError::Malformed(format!("input tensor: {e}")))
         })?;
+        // A CRC-valid input can still carry a shape no resident expert
+        // accepts; reject it here, where the FSM counts it as malformed,
+        // instead of letting a layer's forward panic on it.
+        for model in std::iter::once(&*self.expert).chain(self.hosted.values()) {
+            model
+                .check_shape(images.dims())
+                .map_err(|e| NetError::Malformed(format!("input tensor: {e}")))?;
+        }
         let rows = images.dims().first().copied().unwrap_or(0);
         let _forward_span = self.obs.span("worker.forward", &[("rows", rows as u64)]);
         // Honesty check against the static certificate: count what this

@@ -4,10 +4,15 @@
 //! little-endian. Activations and model weights travel as raw `f32` slices
 //! with a dimension header, which is what makes the byte counts in the
 //! traffic statistics physically meaningful.
+//!
+//! Every decoder of bytes from a peer or a tenant — here, in the envelope
+//! and RPC layers, and in `teamnet-core` and `teamnet-serve` — reads
+//! through one bounded cursor, [`WireReader`] (DESIGN.md §9, "Decoding
+//! untrusted bytes").
 
 use crate::error::NetError;
 use crate::transport::{NodeId, Tag};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::io::Read;
 
 /// Upper bound on a single frame payload (guards against malformed length
@@ -74,25 +79,42 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Frame, NetError> {
         }
         filled += n;
     }
-    let mut cursor = header.as_slice();
-    let src = cursor.get_u32_le() as NodeId;
-    let tag = Tag(cursor.get_u32_le());
-    let len = cursor.get_u32_le() as usize;
+    let mut r = WireReader::new(&header);
+    let src = r.u32()? as NodeId;
+    let tag = Tag(r.u32()?);
+    let len = r.u32()? as usize;
     if len > MAX_FRAME_LEN {
         return Err(NetError::Malformed(format!(
             "frame length {len} exceeds cap {MAX_FRAME_LEN}"
         )));
     }
-    let mut payload = vec![0u8; len];
-    reader
-        .read_exact(&mut payload)
-        .map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => {
-                NetError::Malformed(format!("eof inside {len}-byte payload"))
-            }
-            _ => NetError::Io(e),
-        })?;
+    let payload = read_exact_vec(reader, len).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => {
+            NetError::Malformed(format!("eof inside {len}-byte payload"))
+        }
+        _ => NetError::Io(e),
+    })?;
     Ok((src, tag, Bytes::from(payload)))
+}
+
+/// How far ahead of the bytes received [`read_exact_vec`] allocates.
+const READ_STEP: usize = 64 * 1024;
+
+/// Reads exactly `len` bytes, `len` being a length field from outside the
+/// program: the buffer grows as bytes arrive, so a header that declares
+/// more than its sender delivers cannot make this node allocate it.
+///
+/// # Errors
+///
+/// The reader's error (`UnexpectedEof` when the stream ends early).
+pub fn read_exact_vec(reader: &mut (impl Read + ?Sized), len: usize) -> std::io::Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    while buf.len() < len {
+        let start = buf.len();
+        buf.resize(start + (len - start).min(READ_STEP), 0);
+        reader.read_exact(buf.get_mut(start..).unwrap_or_default())?;
+    }
+    Ok(buf)
 }
 
 /// Encodes a shaped `f32` buffer: `rank: u32 | dims: u32×rank | data`.
@@ -130,40 +152,169 @@ pub fn encode_f32s(dims: &[usize], data: &[f32]) -> Vec<u8> {
 ///
 /// Returns [`NetError::Malformed`] for truncated or inconsistent buffers.
 pub fn decode_f32s(bytes: &[u8]) -> Result<(Vec<usize>, Vec<f32>), NetError> {
-    let take_u32 = |at: usize| -> Result<u32, NetError> {
-        bytes
-            .get(at..)
-            .and_then(|rest| rest.first_chunk::<4>())
-            .map(|b| u32::from_le_bytes(*b))
-            .ok_or_else(|| NetError::Malformed(format!("truncated f32 buffer at offset {at}")))
-    };
-    let rank = take_u32(0)? as usize;
-    if rank > 8 {
-        return Err(NetError::Malformed(format!(
-            "implausible tensor rank {rank}"
-        )));
+    let mut r = WireReader::new(bytes);
+    let tensor = r.f32s()?;
+    r.finish()?;
+    Ok(tensor)
+}
+
+/// Encodes `parts` as consecutive `len: u32 | bytes` sections — the
+/// payload of the all-gather broadcast leg.
+///
+/// # Panics
+///
+/// Panics if a part exceeds [`MAX_FRAME_LEN`] (no frame could carry it).
+pub fn encode_sections(parts: &[Vec<u8>]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for part in parts {
+        assert!(
+            part.len() <= MAX_FRAME_LEN,
+            "all-gather part of {} bytes exceeds MAX_FRAME_LEN",
+            part.len()
+        );
+        // MAX_FRAME_LEN < u32::MAX, asserted above. lint: allow(cast-truncate)
+        buf.extend_from_slice(&(part.len() as u32).to_le_bytes());
+        buf.extend_from_slice(part);
     }
-    let mut dims = Vec::with_capacity(rank);
-    for i in 0..rank {
-        dims.push(take_u32(4 + 4 * i)? as usize);
+    buf
+}
+
+/// Decodes exactly `count` sections written by [`encode_sections`].
+///
+/// # Errors
+///
+/// [`NetError::Malformed`] for an overrun or trailing bytes.
+pub fn decode_sections(bytes: &[u8], count: usize) -> Result<Vec<Vec<u8>>, NetError> {
+    let mut r = WireReader::new(bytes);
+    let parts = (0..count)
+        .map(|_| r.section().map(<[u8]>::to_vec))
+        .collect::<Result<Vec<_>, _>>()?;
+    r.finish()?;
+    Ok(parts)
+}
+
+/// Largest tensor rank [`WireReader::f32s`] accepts (as [`encode_f32s`]
+/// asserts).
+const MAX_RANK: usize = 8;
+
+/// A bounded little-endian cursor over bytes from a peer or a tenant —
+/// the one mechanism every wire decoder reads through. Its contract:
+/// * every read checks that its bytes are present, and every offset and
+///   length product uses checked arithmetic: a hostile length field
+///   yields [`NetError::Malformed`], never a panic or a silent wrap;
+/// * nothing is allocated for a field before the bytes it covers are
+///   present, so a decoder's allocation is bounded by its input length;
+/// * a closed format ends with [`WireReader::finish`], which rejects
+///   trailing bytes.
+#[derive(Debug, Clone)]
+pub struct WireReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> WireReader<'a> {
+    /// A reader positioned at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        WireReader { rest: bytes }
     }
-    let volume: usize = dims.iter().product();
-    let data_start = 4 + 4 * rank;
-    let expected = data_start + 4 * volume;
-    if bytes.len() != expected {
-        return Err(NetError::Malformed(format!(
-            "expected {expected} bytes for dims {dims:?}, got {}",
-            bytes.len()
-        )));
+
+    fn truncated(&self, wanted: usize) -> NetError {
+        NetError::Malformed(format!(
+            "truncated: {wanted} bytes wanted, {} present",
+            self.rest.len()
+        ))
     }
-    let data = bytes
-        .get(data_start..)
-        .unwrap_or_default()
-        .chunks_exact(4)
-        .filter_map(|b| b.first_chunk::<4>())
-        .map(|b| f32::from_le_bytes(*b))
-        .collect();
-    Ok((dims, data))
+
+    /// The next `len` bytes.
+    pub fn bytes(&mut self, len: usize) -> Result<&'a [u8], NetError> {
+        let (head, tail) = self
+            .rest
+            .split_at_checked(len)
+            .ok_or_else(|| self.truncated(len))?;
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], NetError> {
+        let (head, tail) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or_else(|| self.truncated(N))?;
+        self.rest = tail;
+        Ok(*head)
+    }
+
+    /// Reads one byte.
+    pub fn u8(&mut self) -> Result<u8, NetError> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, NetError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, NetError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, NetError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads a little-endian `f32`.
+    pub fn f32(&mut self) -> Result<f32, NetError> {
+        self.array().map(f32::from_le_bytes)
+    }
+
+    /// Reads a `len: u32 | bytes` section.
+    pub fn section(&mut self) -> Result<&'a [u8], NetError> {
+        let len = self.u32()?;
+        self.bytes(len as usize)
+    }
+
+    /// Reads one tensor in the [`encode_f32s`] layout — the only place
+    /// tensor bytes are decoded. Rejects a rank above 8 and dims whose
+    /// byte size overflows `usize`.
+    pub fn f32s(&mut self) -> Result<(Vec<usize>, Vec<f32>), NetError> {
+        let rank = self.u32()? as usize;
+        if rank > MAX_RANK {
+            return Err(NetError::Malformed(format!(
+                "implausible tensor rank {rank}"
+            )));
+        }
+        let dims = (0..rank)
+            .map(|_| self.u32().map(|d| d as usize))
+            .collect::<Result<Vec<_>, _>>()?;
+        let data_len = dims
+            .iter()
+            .try_fold(4usize, |acc, &d| acc.checked_mul(d))
+            .ok_or_else(|| NetError::Malformed(format!("tensor dims {dims:?} overflow")))?;
+        let (words, _) = self.bytes(data_len)?.as_chunks::<4>();
+        Ok((dims, words.iter().map(|w| f32::from_le_bytes(*w)).collect()))
+    }
+
+    /// Consumes everything that remains (an open-ended payload).
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
+    }
+
+    /// Ends a closed format.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Malformed`] when bytes remain unread.
+    pub fn finish(self) -> Result<(), NetError> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(NetError::Malformed(format!(
+                "{} trailing bytes",
+                self.rest.len()
+            )))
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! the same medium anyway.
 
 use crate::clock::{Clock, SystemClock};
+use crate::codec::{decode_sections, encode_sections};
 use crate::error::NetError;
 use crate::retry::{Backoff, RetryPolicy};
 use crate::transport::{NodeId, Tag, Transport};
@@ -215,35 +216,11 @@ impl<'a> Communicator<'a> {
     ///
     /// Propagates transport errors.
     pub fn all_gather(&self, mine: &[u8]) -> Result<Vec<Vec<u8>>, NetError> {
-        let gathered = self.gather(0, mine)?;
-        let encoded = match gathered {
-            Some(parts) => {
-                // Flatten with length prefixes for the broadcast leg.
-                let mut buf = Vec::new();
-                for part in &parts {
-                    buf.extend_from_slice(&(part.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(part);
-                }
-                self.broadcast(0, Some(&buf))?
-            }
+        let encoded = match self.gather(0, mine)? {
+            Some(parts) => self.broadcast(0, Some(&encode_sections(&parts)))?,
             None => self.broadcast(0, None)?,
         };
-        let mut parts = Vec::with_capacity(self.size());
-        let mut at = 0usize;
-        for _ in 0..self.size() {
-            let len_bytes = encoded
-                .get(at..)
-                .and_then(|rest| rest.first_chunk::<4>())
-                .ok_or_else(|| NetError::Malformed("truncated all_gather envelope".into()))?;
-            let len = u32::from_le_bytes(*len_bytes) as usize;
-            at += 4;
-            let part = encoded
-                .get(at..at + len)
-                .ok_or_else(|| NetError::Malformed("truncated all_gather part".into()))?;
-            parts.push(part.to_vec());
-            at += len;
-        }
-        Ok(parts)
+        decode_sections(&encoded, self.size())
     }
 
     /// Element-wise sum of every node's `data`, the result replacing

@@ -23,6 +23,7 @@
 //! model (DESIGN.md §13) stays honest for untraced traffic. Unknown flag
 //! bits are rejected on decode — they are this header's versioning lane.
 
+use crate::codec::WireReader;
 use crate::error::NetError;
 
 /// Current envelope wire version. Bumped on incompatible layout changes;
@@ -60,7 +61,9 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    fn to_wire(self) -> [u8; TRACE_EXT_LEN] {
+    /// The 16-byte wire form, `trace_id: u64 | parent_span: u64`
+    /// (little-endian), shared by the envelope and the serve frame.
+    pub fn to_wire(self) -> [u8; TRACE_EXT_LEN] {
         let mut out = [0u8; TRACE_EXT_LEN];
         let (id_half, span_half) = out.split_at_mut(8);
         id_half.copy_from_slice(&self.trace_id.to_le_bytes());
@@ -68,10 +71,15 @@ impl TraceContext {
         out
     }
 
-    fn from_wire(bytes: &[u8]) -> Option<Self> {
-        Some(TraceContext {
-            trace_id: u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?),
-            parent_span: u64::from_le_bytes(bytes.get(8..16)?.try_into().ok()?),
+    /// Reads the wire form written by [`TraceContext::to_wire`].
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Malformed`] when fewer than 16 bytes remain.
+    pub fn from_wire(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        Ok(TraceContext {
+            trace_id: r.u64()?,
+            parent_span: r.u64()?,
         })
     }
 }
@@ -81,12 +89,13 @@ impl TraceContext {
 /// truncated, or not an envelope at all — callers wanting validation use
 /// [`Envelope::decode`]; this is for IO shells annotating recv events.
 pub fn peek_trace(bytes: &[u8]) -> Option<TraceContext> {
-    let header = bytes.get(..ENVELOPE_HEADER_LEN)?;
-    let version = u16::from_le_bytes(header.get(..2)?.try_into().ok()?);
-    if version != ENVELOPE_VERSION || header.get(3)? & FLAG_TRACE == 0 {
-        return None;
-    }
-    TraceContext::from_wire(bytes.get(ENVELOPE_HEADER_LEN..ENVELOPE_HEADER_LEN + TRACE_EXT_LEN)?)
+    let mut r = WireReader::new(bytes);
+    let (version, _kind, flags) = (r.u16().ok()?, r.u8().ok()?, r.u8().ok()?);
+    r.bytes(ENVELOPE_HEADER_LEN - 4).ok()?; // round + crc
+    let traced = version == ENVELOPE_VERSION && flags & FLAG_TRACE != 0;
+    traced
+        .then(|| TraceContext::from_wire(&mut r).ok())
+        .flatten()
 }
 
 /// Derives a trace id from a session seed and a session-local round
@@ -240,54 +249,38 @@ impl Envelope {
     /// * [`NetError::Corrupt`] when the CRC disagrees with the header (a
     ///   flipped bit anywhere in the extension or payload).
     pub fn decode(bytes: &[u8]) -> Result<Envelope, NetError> {
-        let header = bytes.get(..ENVELOPE_HEADER_LEN).ok_or_else(|| {
-            NetError::Malformed(format!(
-                "envelope shorter than header: {} bytes",
-                bytes.len()
-            ))
-        })?;
-        let take = |at: usize, len: usize| header.get(at..at + len).unwrap_or_default();
-        let version = u16::from_le_bytes(take(0, 2).try_into().unwrap_or_default());
+        let mut r = WireReader::new(bytes);
+        let version = r.u16()?;
         if version != ENVELOPE_VERSION {
             return Err(NetError::Malformed(format!(
                 "envelope version {version}, this node speaks {ENVELOPE_VERSION}"
             )));
         }
-        let kind = PayloadKind::from_wire(header.get(2).copied().unwrap_or_default())?;
-        let flags = header.get(3).copied().unwrap_or_default();
+        let kind = PayloadKind::from_wire(r.u8()?)?;
+        let flags = r.u8()?;
         if flags & !KNOWN_FLAGS != 0 {
             return Err(NetError::Malformed(format!(
                 "envelope carries unknown flag bits {:#04x}",
                 flags & !KNOWN_FLAGS
             )));
         }
-        let round = u64::from_le_bytes(take(4, 8).try_into().unwrap_or_default());
-        let expected = u32::from_le_bytes(take(12, 4).try_into().unwrap_or_default());
+        let round = r.u64()?;
+        let expected = r.u32()?;
         // The CRC covers everything after the header — extension included
         // — so corruption is caught before the extension is interpreted.
-        let body = bytes.get(ENVELOPE_HEADER_LEN..).unwrap_or_default();
-        let got = crc32(body);
+        let got = crc32(r.clone().rest());
         if got != expected {
             return Err(NetError::Corrupt { expected, got });
         }
-        let (trace, payload) = if flags & FLAG_TRACE != 0 {
-            let ctx = body.get(..TRACE_EXT_LEN).and_then(TraceContext::from_wire);
-            match ctx {
-                Some(ctx) => (Some(ctx), body.get(TRACE_EXT_LEN..).unwrap_or_default()),
-                None => {
-                    return Err(NetError::Malformed(format!(
-                        "envelope flags a trace extension but carries {} body bytes",
-                        body.len()
-                    )))
-                }
-            }
+        let trace = if flags & FLAG_TRACE != 0 {
+            Some(TraceContext::from_wire(&mut r)?)
         } else {
-            (None, body)
+            None
         };
         Ok(Envelope {
             round,
             kind,
-            payload: payload.to_vec(),
+            payload: r.rest().to_vec(),
             trace,
         })
     }

@@ -6,6 +6,7 @@
 //! ([`serve`]) dispatches to a handler closure until asked to stop, and
 //! [`RpcClient`] issues blocking calls.
 
+use crate::codec::WireReader;
 use crate::error::NetError;
 use crate::transport::{NodeId, Tag, Transport};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -20,7 +21,8 @@ pub const RPC_RESPONSE: Tag = Tag(0xC100_0001);
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
 
-fn encode_request(request_id: u64, method: u32, payload: &[u8]) -> Vec<u8> {
+/// Encodes a request: `request_id: u64 | method: u32 | payload`.
+pub fn encode_request(request_id: u64, method: u32, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(12 + payload.len());
     buf.extend_from_slice(&request_id.to_le_bytes());
     buf.extend_from_slice(&method.to_le_bytes());
@@ -28,18 +30,16 @@ fn encode_request(request_id: u64, method: u32, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-fn decode_request(bytes: &[u8]) -> Result<(u64, u32, &[u8]), NetError> {
-    let malformed = || NetError::Malformed(format!("rpc request of {} bytes", bytes.len()));
-    let (id_bytes, rest) = bytes.split_first_chunk::<8>().ok_or_else(malformed)?;
-    let (method_bytes, payload) = rest.split_first_chunk::<4>().ok_or_else(malformed)?;
-    Ok((
-        u64::from_le_bytes(*id_bytes),
-        u32::from_le_bytes(*method_bytes),
-        payload,
-    ))
+/// Decodes a request written by [`encode_request`]
+/// ([`NetError::Malformed`] when shorter than its 12-byte header).
+pub fn decode_request(bytes: &[u8]) -> Result<(u64, u32, &[u8]), NetError> {
+    let mut r = WireReader::new(bytes);
+    Ok((r.u64()?, r.u32()?, r.rest()))
 }
 
-fn encode_response(request_id: u64, result: &Result<Vec<u8>, String>) -> Vec<u8> {
+/// Encodes a response: `request_id: u64 | status: u8 | payload or error
+/// text`.
+pub fn encode_response(request_id: u64, result: &Result<Vec<u8>, String>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(9);
     buf.extend_from_slice(&request_id.to_le_bytes());
     match result {
@@ -55,14 +55,15 @@ fn encode_response(request_id: u64, result: &Result<Vec<u8>, String>) -> Vec<u8>
     buf
 }
 
-fn decode_response(bytes: &[u8]) -> Result<(u64, Result<Vec<u8>, String>), NetError> {
-    let malformed = || NetError::Malformed(format!("rpc response of {} bytes", bytes.len()));
-    let (id_bytes, rest) = bytes.split_first_chunk::<8>().ok_or_else(malformed)?;
-    let (&status, body) = rest.split_first().ok_or_else(malformed)?;
-    let request_id = u64::from_le_bytes(*id_bytes);
-    let result = match status {
-        STATUS_OK => Ok(body.to_vec()),
-        STATUS_ERR => Err(String::from_utf8_lossy(body).into_owned()),
+/// Decodes a response written by [`encode_response`]
+/// ([`NetError::Malformed`] when shorter than its 9-byte header or
+/// carrying an unknown status byte).
+pub fn decode_response(bytes: &[u8]) -> Result<(u64, Result<Vec<u8>, String>), NetError> {
+    let mut r = WireReader::new(bytes);
+    let request_id = r.u64()?;
+    let result = match r.u8()? {
+        STATUS_OK => Ok(r.rest().to_vec()),
+        STATUS_ERR => Err(String::from_utf8_lossy(r.rest()).into_owned()),
         other => return Err(NetError::Malformed(format!("unknown rpc status {other}"))),
     };
     Ok((request_id, result))

@@ -61,6 +61,4 @@ pub use optim::{Adam, Sgd};
 pub use sequential::{LayerProfile, Sequential};
 pub use shake::ShakeShakeBlock;
 pub use shape_check::{check_model, ShapeError};
-pub use state::{
-    load_state, state_bytes, state_from_bytes, state_to_bytes, state_vec, StateCodecError,
-};
+pub use state::{load_state, state_bytes, state_vec};

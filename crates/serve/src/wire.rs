@@ -13,7 +13,8 @@
 use crate::error::ServeError;
 use std::io::{Read, Write};
 use teamnet_core::TeamPrediction;
-use teamnet_net::{crc32, TraceContext};
+use teamnet_net::codec::{read_exact_vec, WireReader};
+use teamnet_net::{crc32, NetError, TraceContext, TRACE_EXT_LEN};
 
 /// Frame magic: `b"TSRV"` little-endian, so a stray connection speaking
 /// the wrong protocol fails fast instead of mis-decoding.
@@ -28,8 +29,8 @@ pub const SERVE_HEADER_LEN: usize = 21;
 /// byte-identical to the pre-tracing protocol (DESIGN.md §17).
 pub const SERVE_TRACE_FLAG: u8 = 0x80;
 
-/// Length of the optional trace extension.
-pub const SERVE_TRACE_EXT_LEN: usize = 16;
+/// Length of the optional trace extension ([`TraceContext`]'s wire form).
+pub const SERVE_TRACE_EXT_LEN: usize = TRACE_EXT_LEN;
 
 /// Largest accepted payload: a 64-row batch of 28×28 images is ~200 KiB;
 /// 16 MiB leaves room for generous feature dims while bounding what a
@@ -73,14 +74,6 @@ impl ServeMsgKind {
     }
 }
 
-/// The trace extension bytes for `ctx`.
-fn trace_ext(ctx: TraceContext) -> [u8; SERVE_TRACE_EXT_LEN] {
-    let mut ext = [0u8; SERVE_TRACE_EXT_LEN];
-    ext[..8].copy_from_slice(&ctx.trace_id.to_le_bytes());
-    ext[8..].copy_from_slice(&ctx.parent_span.to_le_bytes());
-    ext
-}
-
 /// One decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeFrame {
@@ -109,7 +102,7 @@ pub fn encode_serve_frame_traced(
     trace: Option<TraceContext>,
     payload: &[u8],
 ) -> Vec<u8> {
-    let ext = trace.map(trace_ext);
+    let ext = trace.map(TraceContext::to_wire);
     let ext_bytes = if ext.is_some() {
         SERVE_TRACE_EXT_LEN
     } else {
@@ -183,61 +176,45 @@ pub fn read_serve_frame(reader: &mut dyn Read) -> Result<ServeFrame, ServeError>
     reader
         .read_exact(&mut header)
         .map_err(|_| ServeError::Closed)?;
-    let word = |at: usize| -> u32 {
-        header
-            .get(at..at + 4)
-            .and_then(|b| b.try_into().ok())
-            .map(u32::from_le_bytes)
-            .unwrap_or(0)
-    };
-    if word(0) != SERVE_MAGIC {
+    let mut r = WireReader::new(&header);
+    let (magic, raw_kind, req_id, len, crc) =
+        (|| Ok((r.u32()?, r.u8()?, r.u64()?, r.u32()? as usize, r.u32()?)))().map_err(malformed)?;
+    if magic != SERVE_MAGIC {
         return Err(ServeError::Malformed("bad frame magic".into()));
     }
-    let raw_kind = header.get(4).copied().unwrap_or(0);
     let traced = raw_kind & SERVE_TRACE_FLAG != 0;
     let kind = ServeMsgKind::from_byte(raw_kind & !SERVE_TRACE_FLAG)?;
-    let req_id = header
-        .get(5..13)
-        .and_then(|b| b.try_into().ok())
-        .map(u64::from_le_bytes)
-        .unwrap_or(0);
-    let len = word(13) as usize;
-    let crc = word(17);
     if len > MAX_SERVE_PAYLOAD {
         return Err(ServeError::Malformed(format!(
             "frame payload of {len} bytes exceeds the {MAX_SERVE_PAYLOAD}-byte bound"
         )));
     }
-    let mut ext = [0u8; SERVE_TRACE_EXT_LEN];
-    if traced {
-        reader
-            .read_exact(&mut ext)
-            .map_err(|_| ServeError::Closed)?;
-    }
-    let mut payload = vec![0u8; len];
-    reader
-        .read_exact(&mut payload)
-        .map_err(|_| ServeError::Closed)?;
-    let actual = if traced {
-        let mut body = Vec::with_capacity(SERVE_TRACE_EXT_LEN + len);
-        body.extend_from_slice(&ext);
-        body.extend_from_slice(&payload);
-        crc32(&body)
-    } else {
-        crc32(&payload)
-    };
-    if actual != crc {
+    // The CRC covers the optional extension and the payload together.
+    let ext_len = if traced { SERVE_TRACE_EXT_LEN } else { 0 };
+    let mut body = read_exact_vec(reader, ext_len + len).map_err(|_| ServeError::Closed)?;
+    if crc32(&body) != crc {
         return Err(ServeError::Malformed("frame crc mismatch".into()));
     }
-    let trace = traced.then(|| TraceContext {
-        trace_id: u64::from_le_bytes(ext[..8].try_into().unwrap_or_default()),
-        parent_span: u64::from_le_bytes(ext[8..].try_into().unwrap_or_default()),
-    });
+    let trace = if traced {
+        Some(TraceContext::from_wire(&mut WireReader::new(&body)).map_err(malformed)?)
+    } else {
+        None
+    };
+    body.drain(..ext_len);
     Ok(ServeFrame {
         kind,
         req_id,
         trace,
-        payload,
+        payload: body,
+    })
+}
+
+/// Wire-reader failures are tenant-facing malformed input, not a failed
+/// round.
+fn malformed(e: NetError) -> ServeError {
+    ServeError::Malformed(match e {
+        NetError::Malformed(what) => what,
+        other => other.to_string(),
     })
 }
 
@@ -260,34 +237,21 @@ pub fn encode_predictions(preds: &[TeamPrediction]) -> Vec<u8> {
 ///
 /// [`ServeError::Malformed`] for truncated or over-declared payloads.
 pub fn decode_predictions(bytes: &[u8]) -> Result<Vec<TeamPrediction>, ServeError> {
-    let count = bytes
-        .get(..4)
-        .and_then(|b| b.try_into().ok())
-        .map(u32::from_le_bytes)
-        .ok_or_else(|| ServeError::Malformed("reply payload truncated".into()))?
-        as usize;
-    let body = bytes.get(4..).unwrap_or_default();
-    if body.len() != count * 12 {
-        return Err(ServeError::Malformed(format!(
-            "reply declares {count} rows but carries {} bytes",
-            body.len()
-        )));
-    }
-    Ok(body
-        .chunks_exact(12)
-        .map(|row| {
-            let field = |at: usize| {
-                row.get(at..at + 4)
-                    .and_then(|b| b.try_into().ok())
-                    .unwrap_or([0u8; 4])
-            };
-            TeamPrediction {
-                label: u32::from_le_bytes(field(0)) as usize,
-                expert: u32::from_le_bytes(field(4)) as usize,
-                entropy: f32::from_le_bytes(field(8)),
-            }
-        })
-        .collect())
+    let decode = || {
+        let mut r = WireReader::new(bytes);
+        let count = r.u32()?;
+        let mut preds = Vec::new();
+        for _ in 0..count {
+            preds.push(TeamPrediction {
+                label: r.u32()? as usize,
+                expert: r.u32()? as usize,
+                entropy: r.f32()?,
+            });
+        }
+        r.finish()?;
+        Ok(preds)
+    };
+    decode().map_err(malformed)
 }
 
 /// Encodes a [`ServeMsgKind::Reject`] payload: `code: u8 | detail utf-8`.
@@ -304,12 +268,12 @@ pub fn encode_reject(err: &ServeError) -> Vec<u8> {
 ///
 /// [`ServeError::Malformed`] for an empty payload.
 pub fn decode_reject(bytes: &[u8]) -> Result<ServeError, ServeError> {
-    let code = bytes
-        .first()
-        .copied()
-        .ok_or_else(|| ServeError::Malformed("empty reject payload".into()))?;
-    let detail = String::from_utf8_lossy(bytes.get(1..).unwrap_or_default());
-    Ok(ServeError::from_wire(code, &detail))
+    let mut r = WireReader::new(bytes);
+    let code = r.u8().map_err(malformed)?;
+    Ok(ServeError::from_wire(
+        code,
+        &String::from_utf8_lossy(r.rest()),
+    ))
 }
 
 #[cfg(test)]

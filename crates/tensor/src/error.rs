@@ -47,6 +47,11 @@ pub enum TensorError {
         /// The rank the operand actually had.
         got: usize,
     },
+    /// The product of a shape's dimensions overflows `usize`.
+    VolumeOverflow {
+        /// The offending dimensions.
+        dims: Vec<usize>,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -67,6 +72,9 @@ impl fmt::Display for TensorError {
             TensorError::EmptyShape => write!(f, "shape must have a positive volume"),
             TensorError::RankMismatch { op, expected, got } => {
                 write!(f, "{op} requires a rank-{expected} operand, got rank {got}")
+            }
+            TensorError::VolumeOverflow { dims } => {
+                write!(f, "shape {dims:?} has a volume that overflows usize")
             }
         }
     }
@@ -96,6 +104,9 @@ mod tests {
                 op: "matmul()",
                 expected: 2,
                 got: 3,
+            },
+            TensorError::VolumeOverflow {
+                dims: vec![1 << 31; 3],
             },
         ];
         for e in errors {

@@ -35,13 +35,21 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::LengthMismatch`] if `data.len()` differs from
-    /// the volume of `shape`.
+    /// Returns [`TensorError::VolumeOverflow`] if the product of the
+    /// dimensions overflows `usize`, and [`TensorError::LengthMismatch`]
+    /// if `data.len()` differs from the volume of `shape`.
     pub fn from_vec(data: Vec<f32>, shape: impl Into<Shape>) -> Result<Self, TensorError> {
         let shape = shape.into();
-        if data.len() != shape.volume() {
+        let volume = shape
+            .dims()
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .ok_or_else(|| TensorError::VolumeOverflow {
+                dims: shape.dims().to_vec(),
+            })?;
+        if data.len() != volume {
             return Err(TensorError::LengthMismatch {
-                expected: shape.volume(),
+                expected: volume,
                 actual: data.len(),
             });
         }

@@ -9,7 +9,7 @@
 //! | `no-expect`     | `.expect(...)`                                       |
 //! | `no-panic`      | `panic!(...)`                                        |
 //! | `no-todo`       | `todo!` / `unimplemented!`                           |
-//! | `no-index`      | unchecked `x[i]` indexing (net/core crates only)     |
+//! | `no-index`      | unchecked `x[i]` indexing (net/core/serve only)      |
 //! | `transport-stats` | `Transport` impls without a forwarding `stats()`   |
 //! | `forbid-unsafe` | crate roots missing `#![forbid(unsafe_code)]`        |
 //! | `missing-docs`  | crate roots missing a `missing_docs` lint header     |
@@ -21,9 +21,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Crates where unchecked indexing is rejected outright: a bad index in the
-/// distributed runtime or wire protocol kills a live inference, whereas the
-/// numeric kernels index in tight loops under their own invariants.
-const INDEX_CHECKED_CRATES: &[&str] = &["net", "core"];
+/// distributed runtime, the wire protocol or the tenant-facing serve front
+/// kills a live inference, whereas the numeric kernels index in tight loops
+/// under their own invariants.
+const INDEX_CHECKED_CRATES: &[&str] = &["net", "core", "serve"];
 
 /// Runs the lint pass over an already-lexed workspace [`Model`] (the
 /// sources are masked exactly once per xtask invocation and shared with

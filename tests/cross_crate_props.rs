@@ -104,6 +104,69 @@ proptest! {
     }
 }
 
+#[test]
+fn wire_codec_roundtrips_model_state() {
+    use teamnet_core::recover::{state_from_bytes, state_to_bytes};
+    use teamnet_nn::{load_state, state_vec, Layer, Mode, ModelSpec};
+
+    let spec = ModelSpec::mlp(3, 16);
+    let mut trained = spec.build(11);
+    let state = state_vec(&mut trained);
+    let bytes = state_to_bytes(&state);
+    assert_eq!(bytes.len() % 4, 0);
+    let back = state_from_bytes(&bytes).unwrap();
+    assert_eq!(back, state);
+
+    // Loading the decoded state reproduces the source model exactly.
+    let mut fresh = spec.build(0);
+    load_state(&mut fresh, &back);
+    let x = Tensor::ones([2, 784]);
+    assert_eq!(
+        fresh.forward(&x, Mode::Eval),
+        trained.forward(&x, Mode::Eval)
+    );
+}
+
+#[test]
+fn wire_codec_rejects_damage() {
+    use teamnet_core::recover::{state_from_bytes, state_to_bytes};
+    use teamnet_nn::{state_vec, ModelSpec};
+
+    let mut model = ModelSpec::mlp(2, 8).build(3);
+    let state = state_vec(&mut model);
+    let bytes = state_to_bytes(&state);
+    // Truncation anywhere fails.
+    assert!(state_from_bytes(&bytes[..bytes.len() - 1]).is_err());
+    assert!(state_from_bytes(&bytes[..3]).is_err());
+    // Trailing garbage fails.
+    let mut long = bytes.clone();
+    long.extend_from_slice(&[0; 4]);
+    assert!(state_from_bytes(&long).is_err());
+    // An implausible rank fails without allocating.
+    let mut bad_rank = bytes.clone();
+    bad_rank[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(state_from_bytes(&bad_rank).is_err());
+    // Empty state roundtrips.
+    assert_eq!(state_from_bytes(&state_to_bytes(&[])).unwrap(), vec![]);
+}
+
+#[test]
+fn migrated_state_is_a_count_then_wire_codec_tensors() {
+    use teamnet_core::recover::{state_from_bytes, state_to_bytes};
+    use teamnet_net::codec::encode_f32s;
+
+    let state = vec![
+        Tensor::from_vec(vec![1.0, -2.0, 3.5, 0.0, 7.0, 8.0], vec![2, 3]).unwrap(),
+        Tensor::from_vec(vec![4.25], Vec::<usize>::new()).unwrap(),
+    ];
+    let mut want = 2u32.to_le_bytes().to_vec();
+    for t in &state {
+        want.extend_from_slice(&encode_f32s(t.dims(), t.data()));
+    }
+    assert_eq!(state_to_bytes(&state), want);
+    assert_eq!(state_from_bytes(&want).unwrap(), state);
+}
+
 /// Models serialized through the workspace wire format survive a full
 /// encode/decode round trip with their predictions intact.
 #[test]
