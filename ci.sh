@@ -30,11 +30,11 @@
 #                         exercised in both profiles)
 #   7. kernel-bench smoke (parallel-vs-sequential bit-identity on every
 #                         kernel, plus the JSON artifact plumbing)
-#   7b. serve-bench smoke (the serving front-end's batching win: the
-#                         binary itself asserts that sustained req/s at
-#                         the fixed p99 target is non-decreasing in the
-#                         batch cap and strictly better than no
-#                         batching, so a batching regression fails here)
+#   7b. perfbench tests  (perfbench is a workspace of its own, so the
+#                         root build never compiles it; it implements
+#                         Transport and Layer and imports runtime names,
+#                         so an API change that breaks the measured
+#                         benchmark fails here)
 #   8. chaos soak        (50 seeded fault-injected inference rounds)
 #   8b. recovery soak    (seeded session that permanently black-holes one
 #                         worker mid-run: its expert must migrate to a
@@ -95,7 +95,7 @@ TEAMNET_THREADS=1 cargo test -q --workspace
 TEAMNET_THREADS=4 cargo test -q --workspace
 cargo test -q --release --test hostile_frames
 cargo run -q --release -p teamnet-bench --bin kernel_bench -- --smoke --out /tmp/BENCH_kernels_smoke.json
-cargo run -q --release -p teamnet-bench --bin serve_bench -- --smoke --out /tmp/BENCH_serve_smoke.json
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --release --test chaos_soak
 cargo test -q --release --test recovery_soak
 cargo test -q --release --test serve_soak

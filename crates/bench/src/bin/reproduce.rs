@@ -19,7 +19,7 @@ use teamnet_bench::figures::{
 use teamnet_bench::suites::{mnist_expert_spec, CifarSuite, MnistSuite, Scale};
 use teamnet_bench::tables::{render, table1, table2};
 use teamnet_core::build_expert;
-use teamnet_core::runtime::{master_infer, serve_worker, shutdown_workers, MasterConfig};
+use teamnet_core::runtime::{serve_worker, shutdown_workers, InferenceSession, MasterConfig};
 use teamnet_nn::{load_state, state_vec};
 use teamnet_simnet::ComputeUnit;
 use teamnet_tensor::Tensor;
@@ -81,15 +81,19 @@ fn measure_teamnet_tcp(scale: &Scale, k: usize, trained: &mut teamnet_core::Team
         }
         let mut master = build_expert(&spec, 0);
         load_state(&mut master, &states[0]);
-        let config = MasterConfig::default();
+        let mut session = InferenceSession::new(&nodes[0], MasterConfig::default());
         // Warm up, then time 50 inferences.
         for _ in 0..5 {
-            master_infer(&nodes[0], &mut master, &image, &config).expect("warmup inference");
+            session
+                .infer(&nodes[0], &mut master, &image)
+                .expect("warmup inference");
         }
         let start = Instant::now();
         const ROUNDS: u32 = 50;
         for _ in 0..ROUNDS {
-            master_infer(&nodes[0], &mut master, &image, &config).expect("timed inference");
+            session
+                .infer(&nodes[0], &mut master, &image)
+                .expect("timed inference");
         }
         let elapsed = start.elapsed() / ROUNDS;
         shutdown_workers(&nodes[0]).ok();

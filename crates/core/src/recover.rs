@@ -689,11 +689,6 @@ impl RecoveryManager {
         self.budgets.insert(node, budget);
     }
 
-    /// Certified spare bytes on `node` ([`u64::MAX`] when unregistered).
-    pub fn spare_bytes(&self, node: usize) -> u64 {
-        self.budgets.get(&node).map_or(u64::MAX, HostBudget::spare)
-    }
-
     /// Current host of `expert` (`None` if unregistered).
     pub fn host_of(&self, expert: usize) -> Option<usize> {
         let record = self.experts.get(&expert)?;
@@ -796,7 +791,7 @@ impl RecoveryManager {
         let mut candidates: Vec<(u64, usize)> = (0..num_nodes)
             .filter(|&n| n != me && n != avoid)
             .filter(|&n| health.get(n).copied() == Some(PeerHealth::Live))
-            .map(|n| (self.spare_bytes(n), n))
+            .map(|n| (self.budgets.get(&n).map_or(u64::MAX, HostBudget::spare), n))
             .filter(|&(spare, _)| spare >= required)
             .collect();
         candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));

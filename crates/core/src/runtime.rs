@@ -29,7 +29,6 @@ use crate::health::{
     ContactPlan, FailureDetector, FailureDetectorConfig, InferenceReport, PeerHealth, PeerReport,
 };
 use crate::recover::{HostBudget, RecoveryManager, TransferManifest};
-use crate::team::TeamPrediction;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -344,8 +343,9 @@ pub struct WorkerConfig {
 /// malformed batches are counted and skipped — one bad frame must not
 /// take a worker out of the team.
 ///
-/// Equivalent to [`serve_worker_with_obs`] with [`Obs::disabled`]: the
-/// returned [`WorkerStats`] carry the counters either way.
+/// Equivalent to [`serve_worker_with_config`] with the default
+/// [`WorkerConfig`]: the returned [`WorkerStats`] carry the counters
+/// either way.
 ///
 /// # Errors
 ///
@@ -355,35 +355,7 @@ pub fn serve_worker(
     master: usize,
     expert: &mut Sequential,
 ) -> Result<WorkerStats, NetError> {
-    serve_worker_with_obs(transport, master, expert, &Obs::disabled())
-}
-
-/// [`serve_worker`] with an observability handle: mirrors every
-/// [`WorkerStats`] counter into the registry live
-/// (`worker.rounds_served`, `worker.probes_answered`,
-/// `worker.malformed_skipped`) and traces each served batch as a
-/// `worker.forward` span — so worker-side telemetry flows through the
-/// same snapshot machinery as the master's instead of living in a
-/// parallel ad-hoc struct.
-///
-/// # Errors
-///
-/// Returns transport failures other than a clean shutdown/close.
-pub fn serve_worker_with_obs(
-    transport: &dyn Transport,
-    master: usize,
-    expert: &mut Sequential,
-    obs: &Obs,
-) -> Result<WorkerStats, NetError> {
-    serve_worker_with_config(
-        transport,
-        master,
-        expert,
-        WorkerConfig {
-            obs: obs.clone(),
-            budget: HostBudget::unlimited(),
-        },
-    )
+    serve_worker_with_config(transport, master, expert, WorkerConfig::default())
 }
 
 /// [`serve_worker`] with full policy control, including multi-expert
@@ -395,6 +367,11 @@ pub fn serve_worker_with_obs(
 /// resident fans every input through it too, returning a demuxable
 /// per-expert result set so the master's argmin-entropy still sees the
 /// full team.
+///
+/// The config's [`Obs`] mirrors every [`WorkerStats`] counter into the
+/// registry live (`worker.rounds_served`, `worker.probes_answered`,
+/// `worker.malformed_skipped`) and traces each served batch as a
+/// `worker.forward` span.
 ///
 /// # Errors
 ///
@@ -563,9 +540,10 @@ impl fsm::WorkerHooks for ServeHooks<'_> {
 /// A multi-round master-side inference session: owns the round counter and
 /// the [`FailureDetector`], so peer health carries across rounds.
 ///
-/// One-shot callers can use [`master_infer`]; anything serving a stream of
-/// inferences should hold a session so that a dead worker stops costing a
-/// full timeout on every single round.
+/// Hold one session for a stream of inferences, so that a dead worker
+/// stops costing a full timeout on every single round. Round stamps are
+/// globally unique, so even a fresh session per call over the same
+/// transport can never consume an earlier call's late reply.
 #[derive(Debug)]
 pub struct InferenceSession {
     config: MasterConfig,
@@ -1086,33 +1064,6 @@ impl InferenceSession {
     }
 }
 
-/// One-shot master-side collaborative inference over an input batch.
-///
-/// Creates a throwaway [`InferenceSession`] (every peer starts live) and
-/// runs a single round; the round stamp is still globally unique, so even
-/// repeated one-shot calls over the same transport can never consume a
-/// previous call's late reply. Hold an [`InferenceSession`] instead when
-/// serving many rounds — it remembers which peers are dead.
-///
-/// # Errors
-///
-/// * [`NetError::Timeout`] if a worker misses the deadline and
-///   `require_all_workers` is set;
-/// * [`NetError::Malformed`] / [`NetError::Corrupt`] for undecodable
-///   worker responses in strict mode;
-/// * transport failures otherwise.
-pub fn master_infer(
-    transport: &dyn Transport,
-    expert: &mut Sequential,
-    images: &Tensor,
-    config: &MasterConfig,
-) -> Result<Vec<TeamPrediction>, NetError> {
-    let mut session = InferenceSession::new(transport, config.clone());
-    session
-        .infer(transport, expert, images)
-        .map(|report| report.predictions)
-}
-
 /// Asks every worker served by [`serve_worker`] to exit.
 ///
 /// # Errors
@@ -1180,13 +1131,10 @@ mod tests {
                 scope.spawn(move |_| serve_worker(node, 0, &mut worker_expert).unwrap());
             }
             let mut master_expert = expert(0);
-            let preds = master_infer(
-                &nodes[0],
-                &mut master_expert,
-                &images,
-                &MasterConfig::default(),
-            )
-            .unwrap();
+            let preds = InferenceSession::new(&nodes[0], MasterConfig::default())
+                .infer(&nodes[0], &mut master_expert, &images)
+                .unwrap()
+                .predictions;
             shutdown_workers(&nodes[0]).unwrap();
             preds
         })
@@ -1225,7 +1173,10 @@ mod tests {
                 calibration: Some(weights),
                 ..MasterConfig::default()
             };
-            let preds = master_infer(&nodes[0], &mut master_expert, &images, &config).unwrap();
+            let preds = InferenceSession::new(&nodes[0], config)
+                .infer(&nodes[0], &mut master_expert, &images)
+                .unwrap()
+                .predictions;
             shutdown_workers(&nodes[0]).unwrap();
             preds
         })
@@ -1247,7 +1198,8 @@ mod tests {
             require_all_workers: true,
             ..MasterConfig::default()
         };
-        let res = master_infer(&nodes[0], &mut master_expert, &images, &config);
+        let res =
+            InferenceSession::new(&nodes[0], config).infer(&nodes[0], &mut master_expert, &images);
         assert!(matches!(res, Err(NetError::Timeout { .. })), "{res:?}");
     }
 
@@ -1261,7 +1213,10 @@ mod tests {
             require_all_workers: false,
             ..MasterConfig::default()
         };
-        let preds = master_infer(&nodes[0], &mut master_expert, &images, &config).unwrap();
+        let preds = InferenceSession::new(&nodes[0], config)
+            .infer(&nodes[0], &mut master_expert, &images)
+            .unwrap()
+            .predictions;
         assert_eq!(preds.len(), 2);
         // All predictions fall back to the master's own expert.
         assert!(preds.iter().all(|p| p.expert == 0));
@@ -1282,13 +1237,10 @@ mod tests {
                 serve_worker(&nodes[1], 0, &mut worker_expert).unwrap();
             });
             let mut master_expert = expert(0);
-            let preds = master_infer(
-                &nodes[0],
-                &mut master_expert,
-                &images,
-                &MasterConfig::default(),
-            )
-            .unwrap();
+            let preds = InferenceSession::new(&nodes[0], MasterConfig::default())
+                .infer(&nodes[0], &mut master_expert, &images)
+                .unwrap()
+                .predictions;
             assert_eq!(preds.len(), 2);
             shutdown_workers(&nodes[0]).unwrap();
         })
@@ -1306,16 +1258,13 @@ mod tests {
                 assert_eq!(stats.malformed_skipped, 0);
             });
             let mut master_expert = expert(0);
+            let mut session = InferenceSession::new(&nodes[0], MasterConfig::default());
             for round in 0..5 {
                 let images = Tensor::full([1, 1, 28, 28], round as f32 * 0.1);
-                let preds = master_infer(
-                    &nodes[0],
-                    &mut master_expert,
-                    &images,
-                    &MasterConfig::default(),
-                )
-                .unwrap();
-                assert_eq!(preds.len(), 1);
+                let report = session
+                    .infer(&nodes[0], &mut master_expert, &images)
+                    .unwrap();
+                assert_eq!(report.predictions.len(), 1);
             }
             shutdown_workers(&nodes[0]).unwrap();
         })
@@ -1338,13 +1287,10 @@ mod tests {
             nodes[0].send(1, TAG_INPUT, &bad_tensor).unwrap();
             // A healthy round must still be answered after both.
             let mut master_expert = expert(0);
-            let preds = master_infer(
-                &nodes[0],
-                &mut master_expert,
-                &images,
-                &MasterConfig::default(),
-            )
-            .unwrap();
+            let preds = InferenceSession::new(&nodes[0], MasterConfig::default())
+                .infer(&nodes[0], &mut master_expert, &images)
+                .unwrap()
+                .predictions;
             assert_eq!(preds.len(), 1);
             shutdown_workers(&nodes[0]).unwrap();
             let stats = worker.join().unwrap();

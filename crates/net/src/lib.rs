@@ -14,7 +14,7 @@
 //! * [`rpc`] — a minimal unary RPC layer (the gRPC stand-in);
 //! * [`ChaosTransport`] — seeded, deterministic fault injection (drop /
 //!   delay / corruption / duplication / black-holing) for resilience
-//!   tests; [`LossyTransport`] is its backwards-compatible alias;
+//!   tests;
 //! * [`Envelope`] — versioned, round-stamped, CRC-checked message
 //!   envelopes for the fault-tolerant inference protocol;
 //! * [`RetryPolicy`] / [`Backoff`] — bounded retries with exponential
@@ -60,7 +60,7 @@ pub use envelope::{
     ENVELOPE_VERSION, FLAG_TRACE, TRACE_EXT_LEN,
 };
 pub use error::NetError;
-pub use faults::{plan_fates, ChaosConfig, ChaosTransport, FaultFate, LossyTransport};
+pub use faults::{plan_fates, ChaosConfig, ChaosTransport, FaultFate};
 pub use mailbox::Mailbox;
 pub use retry::{Backoff, DetRng, RetryPolicy};
 pub use tcp::TcpTransport;

@@ -29,7 +29,4 @@ pub use branch::{
 };
 pub use kernel::{kernel_parallel_conv2d, ConvShard};
 pub use matrix::{mpi_matrix_forward, shard_mlp, split_range, split_sizes, MlpShards};
-pub use sim::{
-    simulate, simulate_churn, ChurnEvent, LayerCost, ModelCost, RecoverySimReport, Strategy,
-    StrategyReport, Workload,
-};
+pub use sim::{simulate, LayerCost, ModelCost, Strategy, StrategyReport, Workload};

@@ -30,6 +30,9 @@ use teamnet_tensor::Tensor;
 /// How often the non-blocking accept loop polls for the stop flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
+/// Each live connection's serving thread, with a duplicate of its socket.
+type Conns = Arc<Mutex<Vec<(JoinHandle<()>, TcpStream)>>>;
+
 /// A running TCP listener feeding a [`ServeHandle`].
 ///
 /// Dropping (or [`TcpServeFront::shutdown`]) stops accepting, joins the
@@ -37,13 +40,16 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// connection threads. The force-close matters: a connection thread
 /// blocks in a frame read between requests, so without it shutdown
 /// would wait forever on any client that is connected but idle.
+///
+/// Every accept joins the finished connection threads and closes their
+/// socket duplicates, so a long-running front holds descriptors only for
+/// the connections still open.
 #[derive(Debug)]
 pub struct TcpServeFront {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    socks: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Conns,
 }
 
 impl TcpServeFront {
@@ -63,25 +69,29 @@ impl TcpServeFront {
             .set_nonblocking(true)
             .map_err(|e| ServeError::Net(format!("set_nonblocking: {e}")))?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let socks: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns = Conns::default();
         let accept = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
-            let socks = Arc::clone(&socks);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
                             // Keep a duplicate handle so shutdown can
-                            // force-close the socket under a blocked read.
-                            if let Ok(dup) = stream.try_clone() {
-                                socks.lock().push(dup);
-                            }
+                            // force-close the socket under a blocked read;
+                            // a connection that cannot be force-closed is
+                            // refused rather than risk wedging shutdown.
+                            let Ok(dup) = stream.try_clone() else {
+                                continue;
+                            };
                             let handle = handle.clone();
                             let worker =
                                 std::thread::spawn(move || handle_connection(stream, &handle));
-                            conns.lock().push(worker);
+                            let mut conns = conns.lock();
+                            for (done, _) in conns.extract_if(.., |(t, _)| t.is_finished()) {
+                                let _ = done.join();
+                            }
+                            conns.push((worker, dup));
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(ACCEPT_POLL);
@@ -96,7 +106,6 @@ impl TcpServeFront {
             stop,
             accept: Some(accept),
             conns,
-            socks,
         })
     }
 
@@ -117,12 +126,12 @@ impl TcpServeFront {
         }
         // Unblock connection threads parked in a frame read: an idle
         // client that never says goodbye must not wedge shutdown.
-        for sock in std::mem::take(&mut *self.socks.lock()) {
+        let conns = std::mem::take(&mut *self.conns.lock());
+        for (_, sock) in &conns {
             let _ = sock.shutdown(Shutdown::Both);
         }
-        let conns: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conns.lock());
-        for conn in conns {
-            let _ = conn.join();
+        for (thread, _) in conns {
+            let _ = thread.join();
         }
     }
 }
@@ -401,6 +410,69 @@ mod tests {
             shutdown_workers(&nodes[0]).unwrap();
         })
         .unwrap();
+    }
+
+    /// Regression: every accepted connection used to leave its socket
+    /// duplicate and thread handle tracked until shutdown, so a front
+    /// serving many short-lived clients leaked one descriptor each until
+    /// `accept` hit the fd limit and the accept loop quietly ended.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn finished_connections_release_their_descriptors() {
+        fn open_fds() -> usize {
+            std::fs::read_dir("/proc/self/fd").unwrap().count()
+        }
+        let nodes = ChannelTransport::mesh(2);
+        // Measured inside the cluster scope, asserted after it: a failed
+        // assertion inside would leave the worker and engine unjoined.
+        let (before, after, answered) = crossbeam::thread::scope(|scope| {
+            scope.spawn(|_| {
+                let mut e = expert(1);
+                serve_worker(&nodes[1], 0, &mut e).unwrap();
+            });
+            let config = ServeConfig {
+                batch: BatcherConfig {
+                    max_batch_rows: 8,
+                    max_delay_ns: 100_000,
+                    queue_cap_rows: 32,
+                },
+                input_dims: vec![1, 28, 28],
+                master: MasterConfig::default(),
+            };
+            let mut engine = ServeEngine::new(&nodes[0], expert(0), config);
+            let handle = engine.handle();
+            let front = TcpServeFront::bind("127.0.0.1:0", handle.clone()).unwrap();
+            let addr = front.local_addr();
+            let master_node = &nodes[0];
+            let engine_thread = scope.spawn(move |_| engine.run(master_node));
+
+            let before = open_fds();
+            let x = teamnet_tensor::Tensor::full([1, 1, 28, 28], 0.5);
+            // A round trip proves the server accepted the connection; the
+            // drop says goodbye.
+            let answered = (0..200)
+                .take_while(|_| {
+                    ServeClient::connect(&addr)
+                        .and_then(|mut c| c.infer(&x))
+                        .is_ok()
+                })
+                .count();
+            let after = open_fds();
+
+            handle.close();
+            engine_thread.join().unwrap();
+            front.shutdown();
+            shutdown_workers(&nodes[0]).unwrap();
+            (before, after, answered)
+        })
+        .unwrap();
+        assert_eq!(answered, 200);
+        // Other tests in this process open sockets concurrently, so
+        // allow some slack — the leak this guards against is +200.
+        assert!(
+            after <= before + 32,
+            "descriptors grew from {before} to {after} over 200 clients"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::{Duration, Instant};
 use teamnet_core::build_expert;
-use teamnet_core::runtime::{master_infer, serve_worker, shutdown_workers, MasterConfig};
+use teamnet_core::runtime::{serve_worker, shutdown_workers, InferenceSession, MasterConfig};
 use teamnet_moe::{
     infer_p2p, infer_rpc, serve_expert_p2p, serve_expert_rpc, shutdown_experts_p2p, SgMoe,
     SgMoeConfig,
@@ -56,9 +56,9 @@ fn main() {
                 serve_worker(node1, 0, &mut expert).unwrap();
             });
             let mut master = build_expert(&expert_spec, 0);
-            let config = MasterConfig::default();
+            let mut session = InferenceSession::new(&nodes[0], MasterConfig::default());
             let t = time_per_round(|| {
-                master_infer(&nodes[0], &mut master, &image, &config).unwrap();
+                session.infer(&nodes[0], &mut master, &image).unwrap();
             });
             println!("{:<28} {:>12?}", "TeamNet x2 (broadcast+gather)", t);
             shutdown_workers(&nodes[0]).unwrap();

@@ -20,7 +20,7 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use std::net::SocketAddr;
-use teamnet::core::runtime::{master_infer, serve_worker, shutdown_workers, MasterConfig};
+use teamnet::core::runtime::{serve_worker, shutdown_workers, InferenceSession, MasterConfig};
 use teamnet::core::{build_expert, load_expert, load_team};
 use teamnet::data::synth_digits;
 use teamnet::net::TcpTransport;
@@ -124,13 +124,14 @@ fn main() {
             calibration,
             ..MasterConfig::default()
         };
+        let mut session = InferenceSession::new(&transport, config);
         let mut correct = 0usize;
         let start = std::time::Instant::now();
         for i in 0..demo_data.len() {
             let image = demo_data.images().select_rows(&[i]);
-            match master_infer(&transport, &mut expert, &image, &config) {
-                Ok(preds) => {
-                    if preds[0].label == demo_data.labels()[i] {
+            match session.infer(&transport, &mut expert, &image) {
+                Ok(report) => {
+                    if report.predictions[0].label == demo_data.labels()[i] {
                         correct += 1;
                     }
                 }

@@ -4,10 +4,10 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Duration;
-use teamnet_core::runtime::{master_infer, serve_worker, shutdown_workers, MasterConfig};
+use teamnet_core::runtime::{serve_worker, shutdown_workers, InferenceSession, MasterConfig};
 use teamnet_core::{build_expert, TrainConfig, Trainer};
 use teamnet_data::synth_digits;
-use teamnet_net::{LossyTransport, TcpTransport, Transport};
+use teamnet_net::{ChaosTransport, TcpTransport, Transport};
 use teamnet_nn::{load_state, state_vec, ModelSpec};
 
 fn quick_train(k: usize) -> (teamnet_core::TeamNet, teamnet_data::Dataset) {
@@ -52,13 +52,10 @@ fn train_deploy_infer_over_tcp_matches_local() {
         });
         let mut master = build_expert(&spec, 0);
         load_state(&mut master, &states[0]);
-        let preds = master_infer(
-            &nodes[0],
-            &mut master,
-            sample.images(),
-            &MasterConfig::default(),
-        )
-        .unwrap();
+        let preds = InferenceSession::new(&nodes[0], MasterConfig::default())
+            .infer(&nodes[0], &mut master, sample.images())
+            .unwrap()
+            .predictions;
         shutdown_workers(&nodes[0]).unwrap();
         preds
     })
@@ -84,8 +81,8 @@ fn inference_survives_a_blackholed_worker() {
     // is black-holed mid-service: degraded mode must still answer.
     let mut mesh = teamnet_net::ChannelTransport::mesh(2);
     let _worker_side = mesh.pop().unwrap(); // worker never runs: dead node
-    let lossy = LossyTransport::new(mesh.pop().unwrap());
-    lossy.blackhole(1);
+    let chaos = ChaosTransport::new(mesh.pop().unwrap());
+    chaos.blackhole(1);
 
     let mut master = build_expert(&spec, 0);
     load_state(&mut master, &state0);
@@ -95,9 +92,12 @@ fn inference_survives_a_blackholed_worker() {
         ..MasterConfig::default()
     };
     let sample = test.subset(&[0, 1, 2]);
-    let preds = master_infer(&lossy, &mut master, sample.images(), &config).unwrap();
+    let preds = InferenceSession::new(&chaos, config)
+        .infer(&chaos, &mut master, sample.images())
+        .unwrap()
+        .predictions;
     assert_eq!(preds.len(), 3);
-    assert!(preds.iter().all(|p| p.expert == lossy.node_id()));
+    assert!(preds.iter().all(|p| p.expert == chaos.node_id()));
 }
 
 #[test]
@@ -114,7 +114,8 @@ fn strict_mode_reports_timeout_for_dead_worker() {
         ..MasterConfig::default()
     };
     let sample = test.subset(&[0]);
-    let res = master_infer(&nodes[0], &mut master, sample.images(), &config);
+    let res =
+        InferenceSession::new(&nodes[0], config).infer(&nodes[0], &mut master, sample.images());
     assert!(
         matches!(res, Err(teamnet_net::NetError::Timeout { .. })),
         "{res:?}"

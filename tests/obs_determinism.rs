@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use teamnet_core::runtime::{serve_worker, shutdown_workers, InferenceSession, MasterConfig};
 use teamnet_core::{build_expert, FailureDetectorConfig};
-use teamnet_net::{ChannelTransport, ChaosConfig, ChaosTransport, ManualClock, Transport};
+use teamnet_net::{ChannelTransport, ChaosConfig, ChaosTransport, ManualClock};
 use teamnet_nn::{ModelSpec, Sequential};
 use teamnet_obs::{Obs, VecSink};
 use teamnet_tensor::Tensor;

@@ -32,8 +32,10 @@ fn expert(seed: u64) -> Sequential {
 }
 
 /// Runs a clean (chaos-free) 3-node soak where *every* node records its
-/// own trace over a pinned ManualClock; returns the three JSONL texts.
-fn traced_cluster() -> Vec<(u64, String)> {
+/// own trace over a pinned ManualClock; returns the three JSONL texts
+/// and the master's [`Obs`], whose registry holds the live
+/// `round.attr.*` histograms.
+fn traced_cluster() -> (Vec<(u64, String)>, Obs) {
     let mut mesh = ChannelTransport::mesh(3);
     let worker2 = mesh.pop().unwrap();
     let worker1 = mesh.pop().unwrap();
@@ -53,7 +55,7 @@ fn traced_cluster() -> Vec<(u64, String)> {
 
     let config = MasterConfig {
         worker_timeout: Duration::from_millis(800),
-        obs: master_obs,
+        obs: master_obs.clone(),
         trace_seed: TRACE_SEED,
         ..MasterConfig::default()
     };
@@ -80,11 +82,12 @@ fn traced_cluster() -> Vec<(u64, String)> {
     })
     .unwrap();
 
-    vec![
+    let traces = vec![
         (0, master_sink.to_jsonl()),
         (1, sink1.to_jsonl()),
         (2, sink2.to_jsonl()),
-    ]
+    ];
+    (traces, master_obs)
 }
 
 /// Deterministic Fisher–Yates over a SplitMix64 stream.
@@ -110,7 +113,7 @@ fn shuffle_lines(text: &str, mut seed: u64) -> String {
 
 #[test]
 fn clean_cluster_assembles_with_zero_orphans_and_exact_attribution() {
-    let inputs = traced_cluster();
+    let (inputs, master_obs) = traced_cluster();
     let assembled = assemble(&inputs).expect("no orphan spans on a clean transport");
     assert!(
         assembled.warnings.is_empty(),
@@ -136,12 +139,20 @@ fn clean_cluster_assembles_with_zero_orphans_and_exact_attribution() {
     // non-empty table.
     let report = assembled.critical_path_report();
     assert!(report.lines().count() > ROUNDS, "{report}");
+
+    // The live per-round split is fed once per traced round.
+    let metrics = master_obs.metrics.snapshot();
+    for leg in ["compute", "wire", "wait", "retry"] {
+        let name = format!("round.attr.{leg}.ns");
+        let count = metrics.histograms.get(&name).map_or(0, |h| h.count);
+        assert_eq!(count, ROUNDS as u64, "{name}");
+    }
 }
 
 #[test]
 fn identical_seeds_assemble_byte_identically() {
-    let a = traced_cluster();
-    let b = traced_cluster();
+    let (a, _) = traced_cluster();
+    let (b, _) = traced_cluster();
     for ((node_a, text_a), (node_b, text_b)) in a.iter().zip(b.iter()) {
         assert_eq!(node_a, node_b);
         assert_eq!(
@@ -167,7 +178,7 @@ proptest! {
         use std::sync::OnceLock;
         static BASELINE: OnceLock<(Vec<(u64, String)>, String, String)> = OnceLock::new();
         let (inputs, dag, report) = BASELINE.get_or_init(|| {
-            let inputs = traced_cluster();
+            let (inputs, _) = traced_cluster();
             let asm = assemble(&inputs).unwrap();
             let dag = asm.render_dag();
             let report = asm.critical_path_report();
